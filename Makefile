@@ -17,8 +17,9 @@ BENCH_BASE ?= $(shell $(GO) run ./cmd/bench-snapshot latest -exclude $(BENCH_NEW
 # golden; `make profile-check` fails when the critical-path length or
 # any attribution bucket drifts >15% of the golden critical path.
 # -timescale makes simulated network delay manifest as wall time, so
-# the network bucket carries signal; committing a new golden is
-# `cp profile.out.json PROFILE_<n+1>.json`.
+# the network bucket carries signal. Committing a new golden keeps
+# only what the gate reads (totals, hosts, links):
+# `go run ./cmd/profile-check compact profile.out.json PROFILE_<n+1>.json`.
 PROFILE_GOLD ?= $(shell $(GO) run ./cmd/profile-check latest)
 PROFILE_ARGS ?= -exp table2 -batch -transient 0.02 -timescale 0.05
 

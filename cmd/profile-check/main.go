@@ -8,7 +8,11 @@
 //	profile-check compare PROFILE_10.json profile.out.json   # exit 1 on >15% drift
 //	profile-check compare -warn PROFILE_10.json profile.out.json
 //	profile-check latest -exclude profile.out.json           # highest-numbered golden
+//	profile-check compact profile.out.json PROFILE_12.json   # write a new golden
 //
+// A golden holds only what the gate reads — the totals — plus the
+// host and link profiles; compact drops the per-phase critical paths,
+// which are most of a full profile's bytes.
 // Bucket drift is judged against the baseline critical-path length
 // (see critpath.Compare), so a 2× network-delay injection trips the
 // gate while a tiny bucket's scheduler jitter does not.
@@ -57,6 +61,13 @@ func main() {
 		if name != "" {
 			fmt.Println(name)
 		}
+	case "compact":
+		if len(os.Args) != 4 {
+			usage()
+		}
+		if err := compact(os.Args[2], os.Args[3]); err != nil {
+			fatal(err)
+		}
 	default:
 		usage()
 	}
@@ -65,6 +76,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: profile-check compare [-warn] [-threshold 0.15] golden.json new.json")
 	fmt.Fprintln(os.Stderr, "       profile-check latest [-dir .] [-exclude PROFILE_n.json]")
+	fmt.Fprintln(os.Stderr, "       profile-check compact profile.json PROFILE_n.json")
 	os.Exit(2)
 }
 
@@ -131,6 +143,17 @@ func latest(dir, exclude string) (string, error) {
 		}
 	}
 	return best, nil
+}
+
+// compact writes the golden form of the profile at in to out: its
+// totals, hosts and links.
+func compact(in, out string) error {
+	p, err := load(in)
+	if err != nil {
+		return err
+	}
+	golden := &critpath.Profile{Hosts: p.Hosts, Links: p.Links, Total: p.Total}
+	return os.WriteFile(out, golden.EncodeJSON(), 0o644)
 }
 
 func load(path string) (*critpath.Profile, error) {

@@ -97,6 +97,43 @@ func TestCompareMissingGolden(t *testing.T) {
 	}
 }
 
+// TestCompactKeepsWhatTheGateReads: a compacted golden drops the
+// per-phase critical paths but compares exactly like the full profile.
+func TestCompactKeepsWhatTheGateReads(t *testing.T) {
+	dir := t.TempDir()
+	full := tableProfile(1)
+	full.Phases = []critpath.Phase{{Name: "remote run", Dur: full.Total.CriticalPath,
+		Path: []critpath.Edge{{Name: "call", Bucket: critpath.Network, Dur: full.Total.CriticalPath}}}}
+	full.Hosts = []critpath.HostProfile{{Host: "cray", Spans: 3, Busy: time.Second}}
+	fullPath := writeProfile(t, dir, "full.json", full)
+	golden := filepath.Join(dir, "PROFILE_1.json")
+	if err := compact(fullPath, golden); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "phases") || !strings.Contains(string(data), "cray") {
+		t.Errorf("compact golden should hold hosts but no phases:\n%s", data)
+	}
+	for _, cur := range []*critpath.Profile{tableProfile(1), tableProfile(2)} {
+		curPath := writeProfile(t, dir, "cur.json", cur)
+		var a, b strings.Builder
+		da, err := compare(fullPath, curPath, critpath.DefaultThreshold, &a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := compare(golden, curPath, critpath.DefaultThreshold, &b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if da != db || a.String() != b.String() {
+			t.Errorf("full and compact goldens disagree:\n%s\nvs\n%s", a.String(), b.String())
+		}
+	}
+}
+
 func TestLatestPicksNumericMax(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{

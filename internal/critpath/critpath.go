@@ -43,7 +43,7 @@ type Profile struct {
 	// and "remote run" spans of an experiment; one synthetic "run"
 	// phase when the recording has no phase spans, as under DST), in
 	// start order.
-	Phases []Phase `json:"phases"`
+	Phases []Phase `json:"phases,omitempty"`
 	// Hosts are the per-machine cost profiles, sorted by host name.
 	Hosts []HostProfile `json:"hosts"`
 	// Links are the per-link cost profiles, sorted by link name;
@@ -53,7 +53,7 @@ type Profile struct {
 	Total Totals `json:"total"`
 	// Spans counts the records analyzed; Dropped what the recorder
 	// discarded at its cap (a nonzero value taints the attribution).
-	Spans   int   `json:"spans"`
+	Spans   int   `json:"spans,omitempty"`
 	Dropped int64 `json:"dropped,omitempty"`
 }
 

@@ -83,6 +83,9 @@ type Engine struct {
 	HPT   *Turbine    // high spool
 	LPT   *Turbine    // low spool
 
+	// Volumes describe the control volumes at the design point. Eval
+	// only reads them: each pass works on its own copy (see unpack),
+	// so evaluations share no state and may run concurrently.
 	Volumes [NumVolumes]*Volume
 
 	// Shaft inertias, kg m^2.
@@ -131,8 +134,9 @@ type Engine struct {
 	// Parallel selects the overlapped evaluation pass: the adapted
 	// hook computations (ducts, combustor, nozzle, shafts) are invoked
 	// concurrently where the dataflow allows, so remote calls overlap
-	// on the wire. Results are bit-identical to the sequential pass;
-	// see Eval.
+	// on the wire. Balance additionally evaluates each Newton
+	// iteration's Jacobian columns concurrently. Results are
+	// bit-identical to the sequential pass; see Eval.
 	Parallel bool
 
 	// DesignState is the state vector at the design point, the
@@ -191,21 +195,48 @@ type Outputs struct {
 	NozzleFlow float64 // kg/s
 }
 
-// UnpackState copies the state vector into the engine's volumes and
-// returns the spool speeds.
-func (e *Engine) UnpackState(x []float64) (omegaL, omegaH float64, err error) {
+// unpack starts an evaluation pass: it fills the pass's workspace vs
+// from the engine's design volumes, with the pressures and
+// temperatures of x and cleared accumulators, and returns the spool
+// speeds. The quasi-steady FAR starts from the design value; every
+// volume but the bypass exit recomputes it from its air inflow each
+// pass, and the bypass exit's is always 0.
+func (e *Engine) unpack(x []float64, vs *[NumVolumes]Volume) (omegaL, omegaH float64, err error) {
 	if len(x) != NumStates {
 		return 0, 0, fmt.Errorf("engine: state vector has %d entries, want %d", len(x), NumStates)
 	}
 	omegaL, omegaH = x[0], x[1]
+	if omegaL <= 0 || omegaH <= 0 {
+		return 0, 0, fmt.Errorf("engine: non-positive spool speed (NL=%g NH=%g)", omegaL, omegaH)
+	}
 	for i, v := range e.Volumes {
-		v.P = x[2+2*i]
-		v.T = x[2+2*i+1]
+		vs[i] = Volume{Name: v.Name, Vol: v.Vol, P: x[2+2*i], T: x[2+2*i+1], FAR: v.FAR}
 	}
 	return omegaL, omegaH, nil
 }
 
-// PackState writes spool speeds and volume states into x.
+// derivatives writes the state derivatives of a finished pass into dx
+// (a nil dx skips them).
+func derivatives(vs *[NumVolumes]Volume, dOmegaL, dOmegaH float64, dx []float64) error {
+	if dx == nil {
+		return nil
+	}
+	if len(dx) != NumStates {
+		return fmt.Errorf("engine: derivative vector has %d entries, want %d", len(dx), NumStates)
+	}
+	dx[0], dx[1] = dOmegaL, dOmegaH
+	for i := range vs {
+		dP, dT, err := vs[i].Derivatives()
+		if err != nil {
+			return err
+		}
+		dx[2+2*i] = dP
+		dx[2+2*i+1] = dT
+	}
+	return nil
+}
+
+// PackState writes spool speeds and the design volume states into x.
 func (e *Engine) PackState(x []float64, omegaL, omegaH float64) {
 	x[0], x[1] = omegaL, omegaH
 	for i, v := range e.Volumes {
@@ -223,6 +254,10 @@ func (e *Engine) PackState(x []float64, omegaL, omegaH float64) {
 // sequence, so their results are bit-identical (the only reordering,
 // V1's two outflows, commutes exactly in IEEE arithmetic because the
 // outflow accumulator is a two-term sum).
+//
+// Eval is re-entrant: the pass's volume state lives in a workspace on
+// the caller's stack, so concurrent calls on one Engine are safe as
+// long as its hooks are, and a result depends only on t and x.
 func (e *Engine) Eval(t float64, x []float64, dx []float64) (Outputs, error) {
 	if e.Parallel {
 		return e.evalParallel(t, x, dx)
@@ -234,23 +269,18 @@ func (e *Engine) Eval(t float64, x []float64, dx []float64) (Outputs, error) {
 // at a time — the reference pass.
 func (e *Engine) evalSequential(t float64, x []float64, dx []float64) (Outputs, error) {
 	var out Outputs
-	omegaL, omegaH, err := e.UnpackState(x)
+	var vs [NumVolumes]Volume
+	omegaL, omegaH, err := e.unpack(x, &vs)
 	if err != nil {
 		return out, err
 	}
-	if omegaL <= 0 || omegaH <= 0 {
-		return out, fmt.Errorf("engine: non-positive spool speed (NL=%g NH=%g)", omegaL, omegaH)
-	}
-	for _, v := range e.Volumes {
-		v.BeginPass()
-	}
-	v1 := e.Volumes[VFanExit]
-	v2 := e.Volumes[VHPCExit]
-	v3 := e.Volumes[VCombExit]
-	v4 := e.Volumes[VHPTExit]
-	v5 := e.Volumes[VLPTExit]
-	v6 := e.Volumes[VBypExit]
-	v7 := e.Volumes[VMixExit]
+	v1 := &vs[VFanExit]
+	v2 := &vs[VHPCExit]
+	v3 := &vs[VCombExit]
+	v4 := &vs[VHPTExit]
+	v5 := &vs[VLPTExit]
+	v6 := &vs[VBypExit]
+	v7 := &vs[VMixExit]
 
 	// Ambient and inlet, following the flight profile when one is set.
 	alt, mach := e.Alt, e.Mach
@@ -376,19 +406,8 @@ func (e *Engine) evalSequential(t float64, x []float64, dx []float64) (Outputs, 
 		return out, err
 	}
 
-	if dx != nil {
-		if len(dx) != NumStates {
-			return out, fmt.Errorf("engine: derivative vector has %d entries, want %d", len(dx), NumStates)
-		}
-		dx[0], dx[1] = dOmegaL, dOmegaH
-		for i, v := range e.Volumes {
-			dP, dT, err := v.Derivatives()
-			if err != nil {
-				return out, err
-			}
-			dx[2+2*i] = dP
-			dx[2+2*i+1] = dT
-		}
+	if err := derivatives(&vs, dOmegaL, dOmegaH, dx); err != nil {
+		return out, err
 	}
 
 	out = Outputs{
@@ -441,23 +460,18 @@ func launch(fn func() error) func() error {
 // accumulated value is bit-identical.
 func (e *Engine) evalParallel(t float64, x []float64, dx []float64) (Outputs, error) {
 	var out Outputs
-	omegaL, omegaH, err := e.UnpackState(x)
+	var vs [NumVolumes]Volume
+	omegaL, omegaH, err := e.unpack(x, &vs)
 	if err != nil {
 		return out, err
 	}
-	if omegaL <= 0 || omegaH <= 0 {
-		return out, fmt.Errorf("engine: non-positive spool speed (NL=%g NH=%g)", omegaL, omegaH)
-	}
-	for _, v := range e.Volumes {
-		v.BeginPass()
-	}
-	v1 := e.Volumes[VFanExit]
-	v2 := e.Volumes[VHPCExit]
-	v3 := e.Volumes[VCombExit]
-	v4 := e.Volumes[VHPTExit]
-	v5 := e.Volumes[VLPTExit]
-	v6 := e.Volumes[VBypExit]
-	v7 := e.Volumes[VMixExit]
+	v1 := &vs[VFanExit]
+	v2 := &vs[VHPCExit]
+	v3 := &vs[VCombExit]
+	v4 := &vs[VHPTExit]
+	v5 := &vs[VLPTExit]
+	v6 := &vs[VBypExit]
+	v7 := &vs[VMixExit]
 
 	// fail drains every launched goroutine before an error return, so
 	// no hook call outlives the pass.
@@ -650,19 +664,8 @@ func (e *Engine) evalParallel(t float64, x []float64, dx []float64) (Outputs, er
 		return fail(err)
 	}
 
-	if dx != nil {
-		if len(dx) != NumStates {
-			return out, fmt.Errorf("engine: derivative vector has %d entries, want %d", len(dx), NumStates)
-		}
-		dx[0], dx[1] = dOmegaL, dOmegaH
-		for i, v := range e.Volumes {
-			dP, dT, err := v.Derivatives()
-			if err != nil {
-				return out, err
-			}
-			dx[2+2*i] = dP
-			dx[2+2*i+1] = dT
-		}
+	if err := derivatives(&vs, dOmegaL, dOmegaH, dx); err != nil {
+		return out, err
 	}
 
 	out = Outputs{
@@ -728,13 +731,13 @@ func (e *Engine) Balance(x []float64, opt SteadyOptions) (Outputs, int, error) {
 	scales := e.scales()
 	switch normalizeMethod(opt.Method) {
 	case "newtonraphson", "newton":
+		// res is re-entrant, as the concurrent Jacobian columns need.
 		res := func(xs, r []float64) error {
-			xx := make([]float64, NumStates)
+			var xx, dx [NumStates]float64
 			for i := range xx {
 				xx[i] = xs[i] * scales[i]
 			}
-			dx := make([]float64, NumStates)
-			if _, err := e.Eval(0, xx, dx); err != nil {
+			if _, err := e.Eval(0, xx[:], dx[:]); err != nil {
 				return err
 			}
 			// Scale residuals to per-second fractional rates.
@@ -756,6 +759,7 @@ func (e *Engine) Balance(x []float64, opt SteadyOptions) (Outputs, int, error) {
 		}
 		iters, err := solver.Newton(res, xs, solver.NewtonOptions{
 			Tol: opt.Tol, MaxIter: 200, Relax: 0.9, MaxStep: 0.15,
+			Parallel: e.Parallel,
 		})
 		if err != nil {
 			return Outputs{}, iters, err

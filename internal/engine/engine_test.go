@@ -717,9 +717,12 @@ func TestSteadyStateConservation(t *testing.T) {
 
 		// Energy: fuel heat release equals the enthalpy flux rise from
 		// inlet to nozzle (shaft work circulates internally).
+		// The nozzle inflow leaves the mixer volume at its balanced
+		// temperature, carrying all the air and all the fuel.
 		_, t2 := e.Inlet.Compute(e.Alt, e.Mach)
-		v7 := e.Volumes[VMixExit]
-		hOutFlux := out.NozzleFlow * gasdyn.H(v7.T, v7.FAR)
+		t7 := x[2+2*VMixExit+1]
+		far7 := out.Fuel / out.W2
+		hOutFlux := out.NozzleFlow * gasdyn.H(t7, far7)
 		hInFlux := out.W2 * gasdyn.H(t2, 0)
 		coreFuel := out.Fuel - out.AugFuel
 		release := coreFuel*e.BurnEff*gasdyn.FuelLHV + out.AugFuel*e.AugEff*gasdyn.FuelLHV

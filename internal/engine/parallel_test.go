@@ -2,9 +2,104 @@ package engine
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 )
+
+// testStates is a spread of states: the design point and
+// perturbations of every state entry in both directions.
+func testStates(e *Engine) [][]float64 {
+	states := [][]float64{append([]float64(nil), e.DesignState...)}
+	for i := 0; i < NumStates; i++ {
+		for _, f := range []float64{0.97, 1.04} {
+			x := append([]float64(nil), e.DesignState...)
+			x[i] *= f
+			states = append(states, x)
+		}
+	}
+	return states
+}
+
+// evalResult is everything one pass reports, comparable with ==.
+type evalResult struct {
+	out Outputs
+	dx  [NumStates]float64
+	err string
+}
+
+func evalAt(e *Engine, x []float64) evalResult {
+	var r evalResult
+	out, err := e.Eval(0, append([]float64(nil), x...), r.dx[:])
+	r.out = out
+	if err != nil {
+		r.err = err.Error()
+	}
+	return r
+}
+
+// TestEvalReentrant: 16 goroutines evaluate one Engine at once, each
+// walking the test states from its own starting point, and every
+// result == a sequential Eval at the same x. Run it under -race: the
+// pass must only read the Engine.
+func TestEvalReentrant(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		e := newTestEngine(t)
+		e.Parallel = parallel
+		states := testStates(e)
+		want := make([]evalResult, len(states))
+		for i, x := range states {
+			want[i] = evalAt(e, x)
+		}
+		const goroutines = 16
+		var wg sync.WaitGroup
+		got := make([][]evalResult, goroutines)
+		for g := range got {
+			got[g] = make([]evalResult, len(states))
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := range states {
+					i := (g + k) % len(states)
+					got[g][i] = evalAt(e, states[i])
+				}
+			}(g)
+		}
+		wg.Wait()
+		for g := range got {
+			for i := range states {
+				if got[g][i] != want[i] {
+					t.Errorf("parallel=%v goroutine %d state %d:\n concurrent %+v\n sequential %+v", parallel, g, i, got[g][i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestEvalHistoryIndependent: a pass depends only on its own x —
+// Eval(x2) after Eval(x1) equals Eval(x2) on a fresh engine — and
+// leaves the engine's design volumes untouched.
+func TestEvalHistoryIndependent(t *testing.T) {
+	e := newTestEngine(t)
+	var design [NumVolumes]Volume
+	for i, v := range e.Volumes {
+		design[i] = *v
+	}
+	states := testStates(e)
+	for i, x1 := range states {
+		x2 := states[(i+len(states)/2)%len(states)]
+		fresh := evalAt(newTestEngine(t), x2)
+		evalAt(e, x1)
+		if got := evalAt(e, x2); got != fresh {
+			t.Errorf("Eval(x%d) after Eval(x%d):\n got   %+v\n fresh %+v", (i+len(states)/2)%len(states), i, got, fresh)
+		}
+	}
+	for i, v := range e.Volumes {
+		if *v != design[i] {
+			t.Errorf("volume %d changed by Eval: %+v, design %+v", i, *v, design[i])
+		}
+	}
+}
 
 // TestEvalParallelBitIdentical is the guarantee the parallel pass
 // rests on: with identical hooks, evalParallel and evalSequential
@@ -16,17 +111,7 @@ func TestEvalParallelBitIdentical(t *testing.T) {
 	par := newTestEngine(t)
 	par.Parallel = true
 
-	// A spread of states: the design point and perturbations of every
-	// state entry in both directions.
-	states := [][]float64{append([]float64(nil), seq.DesignState...)}
-	for i := 0; i < NumStates; i++ {
-		for _, f := range []float64{0.97, 1.04} {
-			x := append([]float64(nil), seq.DesignState...)
-			x[i] *= f
-			states = append(states, x)
-		}
-	}
-	for si, x := range states {
+	for si, x := range testStates(seq) {
 		dxSeq := make([]float64, NumStates)
 		dxPar := make([]float64, NumStates)
 		outSeq, errSeq := seq.Eval(0, append([]float64(nil), x...), dxSeq)

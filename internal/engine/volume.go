@@ -21,8 +21,8 @@ type Volume struct {
 	Name string
 	// Vol is the physical volume, m^3; it sets the time constant.
 	Vol float64
-	// P and T are the current states (Pa, K), maintained by the
-	// engine's state vector.
+	// P and T are the states (Pa, K): the design point in
+	// Engine.Volumes, the state vector's entries in a pass.
 	P, T float64
 	// FAR is the quasi-steady composition.
 	FAR float64

@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Residual evaluates the residual vector r(x) of a nonlinear system;
@@ -25,6 +26,12 @@ type NewtonOptions struct {
 	// (0 disables). Keeps early iterations from flying off the
 	// performance maps.
 	MaxStep float64
+	// Parallel evaluates each iteration's Jacobian columns
+	// concurrently, as one wavefront: column j perturbs its own copy
+	// of x, so f must be safe for concurrent use. The columns, and
+	// therefore the iterates, are bit-identical to the sequential
+	// loop's.
+	Parallel bool
 }
 
 func (o *NewtonOptions) defaults() {
@@ -69,21 +76,20 @@ func Newton(f Residual, x []float64, opt NewtonOptions) (int, error) {
 		return 0, nil
 	}
 
+	var wave *wavefront
+	if opt.Parallel {
+		wave = newWavefront(n)
+	}
 	for iter := 1; iter <= opt.MaxIter; iter++ {
 		// Finite-difference Jacobian, one column per variable.
-		for j := 0; j < n; j++ {
-			h := opt.FDRel * math.Max(math.Abs(x[j]), 1e-8)
-			saved := x[j]
-			x[j] = saved + h
-			if err := f(x, rp); err != nil {
-				x[j] = saved
-				return iter, fmt.Errorf("solver: residual during Jacobian column %d: %w", j, err)
-			}
-			x[j] = saved
-			inv := 1 / h
-			for i := 0; i < n; i++ {
-				jac[i][j] = (rp[i] - r[i]) * inv
-			}
+		var err error
+		if wave != nil {
+			err = wave.jacobian(f, x, r, jac, opt.FDRel)
+		} else {
+			err = jacobian(f, x, rp, r, jac, opt.FDRel)
+		}
+		if err != nil {
+			return iter, err
 		}
 		// Solve J step = -r.
 		for i := range step {
@@ -113,6 +119,82 @@ func Newton(f Residual, x []float64, opt NewtonOptions) (int, error) {
 	}
 	return opt.MaxIter, fmt.Errorf("solver: Newton-Raphson did not converge in %d iterations (residual %g)",
 		opt.MaxIter, norm(r))
+}
+
+// fdStep is the forward-difference perturbation of a variable at v.
+func fdStep(v, rel float64) float64 {
+	return rel * math.Max(math.Abs(v), 1e-8)
+}
+
+// column evaluates Jacobian column j: xj is x with entry j raised by
+// h, r is the residual at x, and rp is scratch for the residual at xj.
+func column(f Residual, xj, rp, r []float64, jac [][]float64, j int, h float64) error {
+	if err := f(xj, rp); err != nil {
+		return fmt.Errorf("solver: residual during Jacobian column %d: %w", j, err)
+	}
+	inv := 1 / h
+	for i := range rp {
+		jac[i][j] = (rp[i] - r[i]) * inv
+	}
+	return nil
+}
+
+// jacobian evaluates the columns one after another, perturbing x in
+// place and restoring it.
+func jacobian(f Residual, x, rp, r []float64, jac [][]float64, rel float64) error {
+	for j := range x {
+		h := fdStep(x[j], rel)
+		saved := x[j]
+		x[j] = saved + h
+		err := column(f, x, rp, r, jac, j, h)
+		x[j] = saved
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// wavefront holds the per-column buffers of the concurrent Jacobian,
+// allocated once per solve: each column's perturbed copy of x, its
+// residual, and its error.
+type wavefront struct {
+	xs, rps [][]float64
+	errs    []error
+}
+
+func newWavefront(n int) *wavefront {
+	w := &wavefront{xs: make([][]float64, n), rps: make([][]float64, n), errs: make([]error, n)}
+	buf := make([]float64, 2*n*n)
+	for j := 0; j < n; j++ {
+		w.xs[j], buf = buf[:n:n], buf[n:]
+		w.rps[j], buf = buf[:n:n], buf[n:]
+	}
+	return w
+}
+
+// jacobian evaluates every column concurrently, each writing only its
+// own jac[.][j]. It joins all columns before returning, and reports
+// the lowest-index failure with the sequential loop's message.
+func (w *wavefront) jacobian(f Residual, x, r []float64, jac [][]float64, rel float64) error {
+	var wg sync.WaitGroup
+	for j := range w.xs {
+		h := fdStep(x[j], rel)
+		copy(w.xs[j], x)
+		w.xs[j][j] = x[j] + h
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			w.errs[j] = column(f, w.xs[j], w.rps[j], r, jac, j, h)
+		}(j)
+	}
+	wg.Wait()
+	for _, err := range w.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func norm(v []float64) float64 {
