@@ -189,7 +189,10 @@ type RunOptions struct {
 	// target the same machine into single wire messages: the two shaft
 	// computations, which become ready at the same instant of the
 	// parallel pass, dispatch as one KBatch when their processes share
-	// a host. Requires Parallel; results stay bit-identical.
+	// a host, and within each Newton iteration's Jacobian wavefront
+	// every remote call site sends all the columns' calls as one
+	// KBatch per host (see gather.go). Requires Parallel; results stay
+	// bit-identical.
 	Batch bool
 }
 
@@ -497,90 +500,127 @@ func (x *Executive) applyStator(instance string, dst **engine.Schedule) error {
 
 // installHooks routes the engine's component computations through the
 // network's adapted modules: remote where a machine is selected, local
-// otherwise. With batch set, the two shaft modules' calls additionally
-// dispatch as one coalesced operation when both compute remotely.
+// otherwise. With batch set, simultaneous remote calls additionally
+// coalesce (see installGather).
 func (x *Executive) installHooks(eng *engine.Engine, batch bool) error {
-	hooks := engine.LocalHooks()
-
-	// Shafts by spool.
-	shaftHooks := make(map[string]func(qTur, qCom, inertia, omega float64) (float64, error))
-	shaftMods := make(map[string]*ShaftModule)
-	for _, inst := range []string{InstLowShaft, InstHighShaft} {
+	a := &adapted{ducts: make(map[string]adaptedDuct)}
+	module := func(inst string) (dataflow.Module, bool) {
 		node, err := x.Network.Node(inst)
 		if err != nil {
-			continue // partial networks run what they have
+			return nil, false // partial networks run what they have
 		}
-		sm, ok := node.Module().(*ShaftModule)
+		return node.Module(), true
+	}
+	for _, inst := range []string{InstLowShaft, InstHighShaft} {
+		m, ok := module(inst)
+		if !ok {
+			continue
+		}
+		sm, ok := m.(*ShaftModule)
 		if !ok {
 			return fmt.Errorf("core: instance %q is not a shaft module", inst)
 		}
-		shaftHooks[sm.Spool] = sm.Hook()
-		shaftMods[sm.Spool] = sm
-	}
-	if len(shaftHooks) > 0 {
-		local := engine.LocalHooks().Shaft
-		hooks.Shaft = func(spool string, qTur, qCom, inertia, omega float64) (float64, error) {
-			if h, ok := shaftHooks[spool]; ok {
-				return h(qTur, qCom, inertia, omega)
-			}
-			return local(spool, qTur, qCom, inertia, omega)
+		switch sm.Spool {
+		case "low":
+			a.low = sm
+		case "high":
+			a.high = sm
 		}
 	}
-	if batch {
-		if low, ok := shaftMods["low"]; ok {
-			if high, ok := shaftMods["high"]; ok {
-				hooks.ShaftPair = x.shaftPairHook(low, high)
-			}
-		}
-	}
-
-	// Ducts by station id.
-	ductHooks := make(map[string]func(k, pUp, tUp, far, pDown float64) (float64, error))
-	for _, inst := range []string{InstBypDuct, InstAugDuct} {
-		node, err := x.Network.Node(inst)
-		if err != nil {
+	for _, d := range []struct {
+		inst string
+		site int
+	}{{InstBypDuct, siteBypass}, {InstAugDuct, siteMixCore}} {
+		m, ok := module(d.inst)
+		if !ok {
 			continue
 		}
-		dm, ok := node.Module().(*DuctModule)
+		dm, ok := m.(*DuctModule)
 		if !ok {
-			return fmt.Errorf("core: instance %q is not a duct module", inst)
+			return fmt.Errorf("core: instance %q is not a duct module", d.inst)
 		}
 		des, ok := eng.DesignDucts[dm.Station]
 		if !ok {
 			return fmt.Errorf("core: engine has no duct station %q", dm.Station)
 		}
-		ductHooks[dm.Station] = dm.Hook(des)
+		a.ducts[dm.Station] = adaptedDuct{m: dm, site: d.site, des: des}
 	}
-	if len(ductHooks) > 0 {
-		local := engine.LocalHooks().Duct
-		hooks.Duct = func(id string, k, pUp, tUp, far, pDown float64) (float64, error) {
-			if h, ok := ductHooks[id]; ok {
-				return h(k, pUp, tUp, far, pDown)
+	if m, ok := module(InstComb); ok {
+		if a.comb, ok = m.(*CombustorModule); !ok {
+			return fmt.Errorf("core: instance %q is not a combustor module", InstComb)
+		}
+		a.combDes = eng.DesignComb
+	}
+	if m, ok := module(InstNozzle); ok {
+		if a.nozzle, ok = m.(*NozzleModule); !ok {
+			return fmt.Errorf("core: instance %q is not a nozzle module", InstNozzle)
+		}
+		a.nozzleDes = eng.DesignNozzle
+	}
+	if batch {
+		a.installGather(x, eng)
+	} else {
+		eng.Hooks = a.hooks(column{x: x})
+	}
+	return nil
+}
+
+// adapted holds the network's adapted modules, for routing the
+// engine's hooks through them.
+type adapted struct {
+	low, high *ShaftModule
+	ducts     map[string]adaptedDuct // by engine duct station
+	comb      *CombustorModule
+	combDes   engine.CombDesign
+	nozzle    *NozzleModule
+	nozzleDes engine.NozzleDesign
+}
+
+// adaptedDuct is a duct module with its gather site and the design
+// conditions its setduct call sizes from.
+type adaptedDuct struct {
+	m    *DuctModule
+	site int
+	des  engine.DuctDesign
+}
+
+// hooks returns engine hooks whose adapted computations send their
+// remote calls from column c; computations without a module run
+// locally.
+func (a *adapted) hooks(c column) engine.Hooks {
+	h := engine.LocalHooks()
+	if a.low != nil || a.high != nil {
+		local := h.Shaft
+		h.Shaft = func(spool string, qTur, qCom, inertia, omega float64) (float64, error) {
+			switch {
+			case spool == "low" && a.low != nil:
+				return a.low.accel(qTur, qCom, inertia, omega)
+			case spool == "high" && a.high != nil:
+				return a.high.accel(qTur, qCom, inertia, omega)
+			}
+			return local(spool, qTur, qCom, inertia, omega)
+		}
+	}
+	if len(a.ducts) > 0 {
+		local := h.Duct
+		h.Duct = func(id string, k, pUp, tUp, far, pDown float64) (float64, error) {
+			if d, ok := a.ducts[id]; ok {
+				return d.m.flow(c, d.site, d.des, k, pUp, tUp, far, pDown)
 			}
 			return local(id, k, pUp, tUp, far, pDown)
 		}
 	}
-
-	// Combustor.
-	if node, err := x.Network.Node(InstComb); err == nil {
-		cm, ok := node.Module().(*CombustorModule)
-		if !ok {
-			return fmt.Errorf("core: instance %q is not a combustor module", InstComb)
+	if a.comb != nil {
+		h.Combustor = func(k, pUp, tUp, farUp, pDown, wf, eta, stator float64) (float64, float64, float64, error) {
+			return a.comb.compute(c, a.combDes, k, pUp, tUp, farUp, pDown, wf, eta, stator)
 		}
-		hooks.Combustor = cm.Hook(eng.DesignComb)
 	}
-
-	// Nozzle.
-	if node, err := x.Network.Node(InstNozzle); err == nil {
-		nm, ok := node.Module().(*NozzleModule)
-		if !ok {
-			return fmt.Errorf("core: instance %q is not a nozzle module", InstNozzle)
+	if a.nozzle != nil {
+		h.Nozzle = func(a8, pt, tt, far, pamb, stator float64) (float64, float64, error) {
+			return a.nozzle.compute(c, a.nozzleDes, a8, pt, tt, far, pamb, stator)
 		}
-		hooks.Nozzle = nm.Hook(eng.DesignNozzle)
 	}
-
-	eng.Hooks = hooks
-	return nil
+	return h
 }
 
 // RemotePlacements reports, for every adapted module instance, the

@@ -333,25 +333,28 @@ func (m *ShaftModule) setup(ln *schooner.Line) (float64, error) {
 // remote setshaft/shaft pair when a machine is selected, the local
 // computation otherwise.
 func (m *ShaftModule) Hook() func(qTur, qCom, inertia, omega float64) (float64, error) {
-	return func(qTur, qCom, inertia, omega float64) (float64, error) {
-		ln := m.Line()
-		if ln == nil {
-			return engine.ShaftAccel(qTur, qCom, inertia, omega)
-		}
-		ecorr, err := m.setup(ln)
-		if err != nil {
-			return 0, err
-		}
-		// The paper's shaft signature carries energy (power) terms.
-		return npssproc.Shaft(ln,
-			[]float64{qCom * omega, 0, 0, 0}, 1,
-			[]float64{qTur * omega, 0, 0, 0}, 1,
-			ecorr, omega, inertia)
+	return m.accel
+}
+
+// accel is the shaft computation, each call on its own.
+func (m *ShaftModule) accel(qTur, qCom, inertia, omega float64) (float64, error) {
+	ln := m.Line()
+	if ln == nil {
+		return engine.ShaftAccel(qTur, qCom, inertia, omega)
 	}
+	ecorr, err := m.setup(ln)
+	if err != nil {
+		return 0, err
+	}
+	// The paper's shaft signature carries energy (power) terms.
+	return npssproc.Shaft(ln,
+		[]float64{qCom * omega, 0, 0, 0}, 1,
+		[]float64{qTur * omega, 0, 0, 0}, 1,
+		ecorr, omega, inertia)
 }
 
 // shaftCallArgs marshals one shaft invocation exactly as npssproc.Shaft
-// would, for the batched dispatch path.
+// would, for the coalesced dispatch path.
 func shaftCallArgs(qTur, qCom, inertia, omega, ecorr float64) []uts.Value {
 	return []uts.Value{
 		uts.DoubleArray(qCom*omega, 0, 0, 0), uts.MustInt(1),
@@ -360,49 +363,23 @@ func shaftCallArgs(qTur, qCom, inertia, omega, ecorr float64) []uts.Value {
 	}
 }
 
-// shaftPairHook coalesces the two spools' shaft computations: when
-// both modules compute remotely, their shaft calls dispatch together
-// through Client.GoBatchHosts, so two calls whose processes share a
-// machine (the paper's combined test puts both shafts on the RS/6000)
-// cost one wire round trip. The sub-calls carry exactly the messages
-// the separate Shaft calls would, so results are bit-identical.
-func (x *Executive) shaftPairHook(low, high *ShaftModule) func(qTurL, qComL, inertiaL, omegaL, qTurH, qComH, inertiaH, omegaH float64) (float64, float64, error) {
-	return func(qTurL, qComL, inertiaL, omegaL, qTurH, qComH, inertiaH, omegaH float64) (float64, float64, error) {
-		lnL, lnH := low.Line(), high.Line()
-		if lnL == nil || lnH == nil {
-			// At least one side computes in-process: nothing to coalesce.
-			dL, err := low.Hook()(qTurL, qComL, inertiaL, omegaL)
-			if err != nil {
-				return 0, 0, err
-			}
-			dH, err := high.Hook()(qTurH, qComH, inertiaH, omegaH)
-			return dL, dH, err
-		}
-		eL, err := low.setup(lnL)
-		if err != nil {
-			return 0, 0, err
-		}
-		eH, err := high.setup(lnH)
-		if err != nil {
-			return 0, 0, err
-		}
-		pends := x.Client.GoBatchHosts([]schooner.CrossCall{
-			{Line: lnL, Name: "shaft", Args: shaftCallArgs(qTurL, qComL, inertiaL, omegaL, eL)},
-			{Line: lnH, Name: "shaft", Args: shaftCallArgs(qTurH, qComH, inertiaH, omegaH, eH)},
-		})
-		outL, err := pends[0].Wait()
-		if err != nil {
-			return 0, 0, err
-		}
-		outH, err := pends[1].Wait()
-		if err != nil {
-			return 0, 0, err
-		}
-		if len(outL) != 1 || len(outH) != 1 {
-			return 0, 0, fmt.Errorf("core: batched shaft returned %d/%d results, want 1/1", len(outL), len(outH))
-		}
-		return outL[0].F, outH[0].F, nil
+// doubles marshals a work procedure's double arguments exactly as its
+// npssproc stub would.
+func doubles(vs ...float64) []uts.Value {
+	args := make([]uts.Value, len(vs))
+	for i, v := range vs {
+		args[i] = uts.DoubleVal(v)
 	}
+	return args
+}
+
+// checkResults checks a work procedure returned the results its
+// import declares.
+func checkResults(name string, out []uts.Value, want int) error {
+	if len(out) != want {
+		return fmt.Errorf("core: %s returned %d results, want %d", name, len(out), want)
+	}
+	return nil
 }
 
 // DuctModule is an adapted module: a pressure-loss duct whose flow
@@ -452,18 +429,33 @@ func (m *DuctModule) Destroy() { m.destroy() }
 // the orifice constant on first use.
 func (m *DuctModule) Hook(des engine.DuctDesign) func(k, pUp, tUp, far, pDown float64) (float64, error) {
 	return func(k, pUp, tUp, far, pDown float64) (float64, error) {
-		ln := m.Line()
-		if ln == nil {
-			return engine.DuctFlow(k, pUp, tUp, far, pDown)
-		}
-		xkd, err := m.xkd.get(func() (float64, error) {
-			return npssproc.Setduct(ln, des.W, des.P, des.T, des.FAR, des.DP)
-		})
-		if err != nil {
-			return 0, err
-		}
-		return npssproc.Duct(ln, xkd, pUp, tUp, far, pDown)
+		return m.flow(column{}, 0, des, k, pUp, tUp, far, pDown)
 	}
+}
+
+// flow is the duct computation, its remote call sent from column c at
+// site.
+func (m *DuctModule) flow(c column, site int, des engine.DuctDesign, k, pUp, tUp, far, pDown float64) (float64, error) {
+	ln := m.Line()
+	if ln == nil {
+		c.pass(site)
+		return engine.DuctFlow(k, pUp, tUp, far, pDown)
+	}
+	xkd, err := m.xkd.get(func() (float64, error) {
+		return npssproc.Setduct(ln, des.W, des.P, des.T, des.FAR, des.DP)
+	})
+	if err != nil {
+		c.pass(site)
+		return 0, err
+	}
+	out, err := c.call(site, ln, "duct", doubles(xkd, pUp, tUp, far, pDown))
+	if err == nil {
+		err = checkResults("duct", out, 1)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return out[0].F, nil
 }
 
 // CombustorModule is an adapted module: the combustor computation can
@@ -510,18 +502,33 @@ func (m *CombustorModule) Destroy() { m.destroy() }
 // Hook returns the combustor computation routed through this module.
 func (m *CombustorModule) Hook(des engine.CombDesign) func(k, pUp, tUp, farUp, pDown, wf, eta, stator float64) (float64, float64, float64, error) {
 	return func(k, pUp, tUp, farUp, pDown, wf, eta, stator float64) (float64, float64, float64, error) {
-		ln := m.Line()
-		if ln == nil {
-			return engine.CombustorCompute(k, pUp, tUp, farUp, pDown, wf, eta, stator)
-		}
-		xkc, err := m.xkc.get(func() (float64, error) {
-			return npssproc.Setcomb(ln, des.W, des.P, des.T, des.DP)
-		})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		return npssproc.Comb(ln, xkc, pUp, tUp, farUp, pDown, wf, eta, stator)
+		return m.compute(column{}, des, k, pUp, tUp, farUp, pDown, wf, eta, stator)
 	}
+}
+
+// compute is the combustor computation, its remote call sent from
+// column c.
+func (m *CombustorModule) compute(c column, des engine.CombDesign, k, pUp, tUp, farUp, pDown, wf, eta, stator float64) (float64, float64, float64, error) {
+	ln := m.Line()
+	if ln == nil {
+		c.pass(siteComb)
+		return engine.CombustorCompute(k, pUp, tUp, farUp, pDown, wf, eta, stator)
+	}
+	xkc, err := m.xkc.get(func() (float64, error) {
+		return npssproc.Setcomb(ln, des.W, des.P, des.T, des.DP)
+	})
+	if err != nil {
+		c.pass(siteComb)
+		return 0, 0, 0, err
+	}
+	out, err := c.call(siteComb, ln, "comb", doubles(xkc, pUp, tUp, farUp, pDown, wf, eta, stator))
+	if err == nil {
+		err = checkResults("comb", out, 3)
+	}
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return out[0].F, out[1].F, out[2].F, nil
 }
 
 // NozzleModule is an adapted module: the nozzle computation can
@@ -566,18 +573,33 @@ func (m *NozzleModule) Destroy() { m.destroy() }
 // indicate a marshaling defect, so the remote value is used.
 func (m *NozzleModule) Hook(des engine.NozzleDesign) func(a8, pt, tt, far, pamb, stator float64) (float64, float64, error) {
 	return func(a8, pt, tt, far, pamb, stator float64) (float64, float64, error) {
-		ln := m.Line()
-		if ln == nil {
-			return engine.NozzleCompute(a8, pt, tt, far, pamb, stator)
-		}
-		a8, err := m.a8.get(func() (float64, error) {
-			return npssproc.Setnozl(ln, des.W, des.P, des.T, des.FAR, des.Pamb)
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		return npssproc.Nozl(ln, a8, pt, tt, far, pamb, stator)
+		return m.compute(column{}, des, a8, pt, tt, far, pamb, stator)
 	}
+}
+
+// compute is the nozzle computation, its remote call sent from column
+// c.
+func (m *NozzleModule) compute(c column, des engine.NozzleDesign, a8, pt, tt, far, pamb, stator float64) (float64, float64, error) {
+	ln := m.Line()
+	if ln == nil {
+		c.pass(siteNozzle)
+		return engine.NozzleCompute(a8, pt, tt, far, pamb, stator)
+	}
+	a8, err := m.a8.get(func() (float64, error) {
+		return npssproc.Setnozl(ln, des.W, des.P, des.T, des.FAR, des.Pamb)
+	})
+	if err != nil {
+		c.pass(siteNozzle)
+		return 0, 0, err
+	}
+	out, err := c.call(siteNozzle, ln, "nozl", doubles(a8, pt, tt, far, pamb, stator))
+	if err == nil {
+		err = checkResults("nozl", out, 2)
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	return out[0].F, out[1].F, nil
 }
 
 // SystemModule provides overall control of the simulation run: the

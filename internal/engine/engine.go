@@ -35,6 +35,14 @@ type Hooks struct {
 	// trips without changing any argument or result. Each sub-result
 	// must be exactly what the corresponding Shaft call would return.
 	ShaftPair func(qTurL, qComL, inertiaL, omegaL, qTurH, qComH, inertiaH, omegaH float64) (dOmegaL, dOmegaH float64, err error)
+	// Wave, when non-nil, supplies the hooks of one Jacobian wavefront
+	// of n concurrent parallel passes: column j's pass calls cols[j],
+	// and leave(j) once that pass has returned, on every path. A
+	// transport can use the wavefront to coalesce the columns' calls
+	// at each hook into one message; every sub-result must still be
+	// exactly what the column's own call would return. Without Wave,
+	// every column calls these hooks.
+	Wave func(n int) (cols []Hooks, leave func(j int))
 }
 
 // LocalHooks returns hooks that execute every computation in-process.
@@ -259,15 +267,21 @@ func (e *Engine) PackState(x []float64, omegaL, omegaH float64) {
 // the caller's stack, so concurrent calls on one Engine are safe as
 // long as its hooks are, and a result depends only on t and x.
 func (e *Engine) Eval(t float64, x []float64, dx []float64) (Outputs, error) {
+	return e.eval(&e.Hooks, t, x, dx)
+}
+
+// eval is Eval calling the hooks h: e.Hooks, or one Jacobian wavefront
+// column's.
+func (e *Engine) eval(h *Hooks, t float64, x []float64, dx []float64) (Outputs, error) {
 	if e.Parallel {
-		return e.evalParallel(t, x, dx)
+		return e.evalParallel(h, t, x, dx)
 	}
-	return e.evalSequential(t, x, dx)
+	return e.evalSequential(h, t, x, dx)
 }
 
 // evalSequential invokes every component in strict airflow order, one
 // at a time — the reference pass.
-func (e *Engine) evalSequential(t float64, x []float64, dx []float64) (Outputs, error) {
+func (e *Engine) evalSequential(h *Hooks, t float64, x []float64, dx []float64) (Outputs, error) {
 	var out Outputs
 	var vs [NumVolumes]Volume
 	omegaL, omegaH, err := e.unpack(x, &vs)
@@ -302,7 +316,7 @@ func (e *Engine) evalSequential(t float64, x []float64, dx []float64) (Outputs, 
 	v1.UpdateFAR()
 
 	// Bypass duct V1 -> V6.
-	wByp, err := e.Hooks.Duct("bypass", e.KByp, v1.P, v1.T, v1.FAR, v6.P)
+	wByp, err := h.Duct("bypass", e.KByp, v1.P, v1.T, v1.FAR, v6.P)
 	if err != nil {
 		return out, err
 	}
@@ -319,7 +333,7 @@ func (e *Engine) evalSequential(t float64, x []float64, dx []float64) (Outputs, 
 	v2.UpdateFAR()
 
 	// Cooling bleed V2 -> V4.
-	wBleed, err := e.Hooks.Duct("bleed", e.KBleed, v2.P, v2.T, v2.FAR, v4.P)
+	wBleed, err := h.Duct("bleed", e.KBleed, v2.P, v2.T, v2.FAR, v4.P)
 	if err != nil {
 		return out, err
 	}
@@ -328,7 +342,7 @@ func (e *Engine) evalSequential(t float64, x []float64, dx []float64) (Outputs, 
 
 	// Combustor V2 -> V3.
 	wf := e.Fuel.At(t)
-	w3, t3, far3, err := e.Hooks.Combustor(e.KComb, v2.P, v2.T, v2.FAR, v3.P, wf, e.BurnEff, e.CombStator.At(t))
+	w3, t3, far3, err := h.Combustor(e.KComb, v2.P, v2.T, v2.FAR, v3.P, wf, e.BurnEff, e.CombStator.At(t))
 	if err != nil {
 		return out, err
 	}
@@ -360,13 +374,13 @@ func (e *Engine) evalSequential(t float64, x []float64, dx []float64) (Outputs, 
 	v6.UpdateFAR()
 
 	// Mixer: core side V5 -> V7 and bypass side V6 -> V7.
-	wMixCore, err := e.Hooks.Duct("mixer-core", e.KMixCore, v5.P, v5.T, v5.FAR, v7.P)
+	wMixCore, err := h.Duct("mixer-core", e.KMixCore, v5.P, v5.T, v5.FAR, v7.P)
 	if err != nil {
 		return out, err
 	}
 	v5.AddOut(wMixCore)
 	v7.AddIn(Stream{W: wMixCore, Tt: v5.T, FAR: v5.FAR})
-	wMixByp, err := e.Hooks.Duct("mixer-bypass", e.KMixByp, v6.P, v6.T, v6.FAR, v7.P)
+	wMixByp, err := h.Duct("mixer-bypass", e.KMixByp, v6.P, v6.T, v6.FAR, v7.P)
 	if err != nil {
 		return out, err
 	}
@@ -390,18 +404,18 @@ func (e *Engine) evalSequential(t float64, x []float64, dx []float64) (Outputs, 
 	}
 
 	// Nozzle V7 -> ambient.
-	w8, thrust, err := e.Hooks.Nozzle(e.A8, v7.P, v7.T, v7.FAR, pamb, e.NozzleArea.At(t))
+	w8, thrust, err := h.Nozzle(e.A8, v7.P, v7.T, v7.FAR, pamb, e.NozzleArea.At(t))
 	if err != nil {
 		return out, err
 	}
 	v7.AddOut(w8)
 
 	// Shaft dynamics.
-	dOmegaL, err := e.Hooks.Shaft("low", lpt.Torque, fan.Torque, e.InertiaL, omegaL)
+	dOmegaL, err := h.Shaft("low", lpt.Torque, fan.Torque, e.InertiaL, omegaL)
 	if err != nil {
 		return out, err
 	}
-	dOmegaH, err := e.Hooks.Shaft("high", hpt.Torque, hpc.Torque, e.InertiaH, omegaH)
+	dOmegaH, err := h.Shaft("high", hpt.Torque, hpc.Torque, e.InertiaH, omegaH)
 	if err != nil {
 		return out, err
 	}
@@ -458,7 +472,7 @@ func launch(fn func() error) func() error {
 // hpc.W before wByp instead of after. The outflow accumulator is a
 // two-term sum and IEEE addition of two terms is commutative, so the
 // accumulated value is bit-identical.
-func (e *Engine) evalParallel(t float64, x []float64, dx []float64) (Outputs, error) {
+func (e *Engine) evalParallel(h *Hooks, t float64, x []float64, dx []float64) (Outputs, error) {
 	var out Outputs
 	var vs [NumVolumes]Volume
 	omegaL, omegaH, err := e.unpack(x, &vs)
@@ -512,7 +526,7 @@ func (e *Engine) evalParallel(t float64, x []float64, dx []float64) (Outputs, er
 	var wByp float64
 	bypP, bypT, bypFAR, bypDown := v1.P, v1.T, v1.FAR, v6.P
 	waitByp := launchHook(func() (err error) {
-		wByp, err = e.Hooks.Duct("bypass", e.KByp, bypP, bypT, bypFAR, bypDown)
+		wByp, err = h.Duct("bypass", e.KByp, bypP, bypT, bypFAR, bypDown)
 		return err
 	})
 
@@ -531,12 +545,12 @@ func (e *Engine) evalParallel(t float64, x []float64, dx []float64) (Outputs, er
 	var w3, t3, far3 float64
 	combP, combT, combFAR, combDown, combStator := v2.P, v2.T, v2.FAR, v3.P, e.CombStator.At(t)
 	waitComb := launchHook(func() (err error) {
-		w3, t3, far3, err = e.Hooks.Combustor(e.KComb, combP, combT, combFAR, combDown, wf, e.BurnEff, combStator)
+		w3, t3, far3, err = h.Combustor(e.KComb, combP, combT, combFAR, combDown, wf, e.BurnEff, combStator)
 		return err
 	})
 
 	// Cooling bleed V2 -> V4 (always a local computation).
-	wBleed, err := e.Hooks.Duct("bleed", e.KBleed, v2.P, v2.T, v2.FAR, v4.P)
+	wBleed, err := h.Duct("bleed", e.KBleed, v2.P, v2.T, v2.FAR, v4.P)
 	if err != nil {
 		return fail(err)
 	}
@@ -581,19 +595,19 @@ func (e *Engine) evalParallel(t float64, x []float64, dx []float64) (Outputs, er
 	lptQ, fanQ := lpt.Torque, fan.Torque
 	hptQ, hpcQ := hpt.Torque, hpc.Torque
 	var waitShaftL, waitShaftH func() error
-	if e.Hooks.ShaftPair != nil {
+	if h.ShaftPair != nil {
 		w := launchHook(func() (err error) {
-			dOmegaL, dOmegaH, err = e.Hooks.ShaftPair(lptQ, fanQ, e.InertiaL, omegaL, hptQ, hpcQ, e.InertiaH, omegaH)
+			dOmegaL, dOmegaH, err = h.ShaftPair(lptQ, fanQ, e.InertiaL, omegaL, hptQ, hpcQ, e.InertiaH, omegaH)
 			return err
 		})
 		waitShaftL, waitShaftH = w, w
 	} else {
 		waitShaftL = launchHook(func() (err error) {
-			dOmegaL, err = e.Hooks.Shaft("low", lptQ, fanQ, e.InertiaL, omegaL)
+			dOmegaL, err = h.Shaft("low", lptQ, fanQ, e.InertiaL, omegaL)
 			return err
 		})
 		waitShaftH = launchHook(func() (err error) {
-			dOmegaH, err = e.Hooks.Shaft("high", hptQ, hpcQ, e.InertiaH, omegaH)
+			dOmegaH, err = h.Shaft("high", hptQ, hpcQ, e.InertiaH, omegaH)
 			return err
 		})
 	}
@@ -602,7 +616,7 @@ func (e *Engine) evalParallel(t float64, x []float64, dx []float64) (Outputs, er
 	var wMixCore float64
 	mcP, mcT, mcFAR, mcDown := v5.P, v5.T, v5.FAR, v7.P
 	waitMixCore := launchHook(func() (err error) {
-		wMixCore, err = e.Hooks.Duct("mixer-core", e.KMixCore, mcP, mcT, mcFAR, mcDown)
+		wMixCore, err = h.Duct("mixer-core", e.KMixCore, mcP, mcT, mcFAR, mcDown)
 		return err
 	})
 
@@ -615,7 +629,7 @@ func (e *Engine) evalParallel(t float64, x []float64, dx []float64) (Outputs, er
 	v6.UpdateFAR()
 
 	// Mixer bypass side V6 -> V7 (always a local computation).
-	wMixByp, err := e.Hooks.Duct("mixer-bypass", e.KMixByp, v6.P, v6.T, v6.FAR, v7.P)
+	wMixByp, err := h.Duct("mixer-bypass", e.KMixByp, v6.P, v6.T, v6.FAR, v7.P)
 	if err != nil {
 		return fail(err)
 	}
@@ -649,7 +663,7 @@ func (e *Engine) evalParallel(t float64, x []float64, dx []float64) (Outputs, er
 	var w8, thrust float64
 	nzP, nzT, nzFAR, nzArea := v7.P, v7.T, v7.FAR, e.NozzleArea.At(t)
 	waitNozzle := launchHook(func() (err error) {
-		w8, thrust, err = e.Hooks.Nozzle(e.A8, nzP, nzT, nzFAR, pamb, nzArea)
+		w8, thrust, err = h.Nozzle(e.A8, nzP, nzT, nzFAR, pamb, nzArea)
 		return err
 	})
 	if err := waitNozzle(); err != nil {
@@ -731,13 +745,14 @@ func (e *Engine) Balance(x []float64, opt SteadyOptions) (Outputs, int, error) {
 	scales := e.scales()
 	switch normalizeMethod(opt.Method) {
 	case "newtonraphson", "newton":
-		// res is re-entrant, as the concurrent Jacobian columns need.
-		res := func(xs, r []float64) error {
+		// res is re-entrant, as the concurrent Jacobian columns need;
+		// h are the hooks its pass calls.
+		res := func(h *Hooks, xs, r []float64) error {
 			var xx, dx [NumStates]float64
 			for i := range xx {
 				xx[i] = xs[i] * scales[i]
 			}
-			if _, err := e.Eval(0, xx[:], dx[:]); err != nil {
+			if _, err := e.eval(h, 0, xx[:], dx[:]); err != nil {
 				return err
 			}
 			// Scale residuals to per-second fractional rates.
@@ -753,14 +768,15 @@ func (e *Engine) Balance(x []float64, opt SteadyOptions) (Outputs, int, error) {
 			r[1] *= xs[1]
 			return nil
 		}
+		nopt := solver.NewtonOptions{Tol: opt.Tol, MaxIter: 200, Relax: 0.9, MaxStep: 0.15}
+		if e.Parallel {
+			nopt.Wave = e.jacobianWave(res)
+		}
 		xs := make([]float64, NumStates)
 		for i := range xs {
 			xs[i] = x[i] / scales[i]
 		}
-		iters, err := solver.Newton(res, xs, solver.NewtonOptions{
-			Tol: opt.Tol, MaxIter: 200, Relax: 0.9, MaxStep: 0.15,
-			Parallel: e.Parallel,
-		})
+		iters, err := solver.Newton(func(xs, r []float64) error { return res(&e.Hooks, xs, r) }, xs, nopt)
 		if err != nil {
 			return Outputs{}, iters, err
 		}
@@ -778,6 +794,24 @@ func (e *Engine) Balance(x []float64, opt SteadyOptions) (Outputs, int, error) {
 		return out, steps, err
 	}
 	return Outputs{}, 0, fmt.Errorf("engine: unknown steady-state method %q", opt.Method)
+}
+
+// jacobianWave is the parallel executive's Jacobian wavefront: one
+// concurrent pass per column, all calling e.Hooks, or, with a Wave
+// hook, column j's pass calling cols[j] and leaving the wavefront when
+// it returns.
+func (e *Engine) jacobianWave(res func(h *Hooks, xs, r []float64) error) solver.Wave {
+	return func(xs, rs [][]float64, errs []error) {
+		if e.Hooks.Wave == nil {
+			solver.Concurrent(func(_ int, x, r []float64) error { return res(&e.Hooks, x, r) })(xs, rs, errs)
+			return
+		}
+		cols, leave := e.Hooks.Wave(len(xs))
+		solver.Concurrent(func(j int, x, r []float64) error {
+			defer leave(j)
+			return res(&cols[j], x, r)
+		})(xs, rs, errs)
+	}
 }
 
 func normalizeMethod(s string) string {

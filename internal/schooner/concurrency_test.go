@@ -1,13 +1,16 @@
 package schooner
 
 import (
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"npss/internal/machine"
 	"npss/internal/trace"
 	"npss/internal/uts"
+	"npss/internal/wire"
 )
 
 // stressPolicy gives the concurrency tests a generous retry budget:
@@ -244,4 +247,128 @@ func TestGoOverlapsCalls(t *testing.T) {
 	if par > seq*3/4 {
 		t.Errorf("async calls did not overlap: sequential %v, concurrent %v", seq, par)
 	}
+}
+
+// pipeProcess runs a process of prog serving one connection over an
+// in-memory pipe. It returns the caller's end and a channel closed
+// when the process's serve loop returns.
+func pipeProcess(t *testing.T, prog *Program) (*process, wire.Conn, <-chan struct{}) {
+	t.Helper()
+	inst, err := prog.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, err := machine.ByName("sparc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &process{host: "sparc", arch: arch, program: prog, instance: inst,
+		sigCache: make(map[string]*uts.ProcSpec), done: make(chan struct{})}
+	caller, callee := net.Pipe()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		p.serve(wire.NewStreamConn(callee, "caller"))
+	}()
+	return p, wire.NewStreamConn(caller, "process"), served
+}
+
+// waitClosed fails the test unless ch closes within a generous bound.
+func waitClosed(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: still waiting after 5s", what)
+	}
+}
+
+// gateProgram exports gate, whose body signals entered and then waits
+// for release: a server-side barrier holding one request in dispatch.
+func gateProgram(entered, release chan struct{}) *Program {
+	return &Program{
+		Path:     "/test/gate",
+		Language: LangC,
+		Build: func() (*Instance, error) {
+			return NewInstance(&BoundProc{
+				Spec: uts.MustParseProc(`export gate prog("x" res double)`),
+				Fn: func(in []uts.Value) ([]uts.Value, error) {
+					entered <- struct{}{}
+					<-release
+					return []uts.Value{uts.DoubleVal(1)}, nil
+				},
+			})
+		},
+	}
+}
+
+// gateCall is a KCall of gate.
+func gateCall(seq uint32) *wire.Message {
+	imp := uts.MustParseProc(`import gate prog("x" res double)`)
+	return &wire.Message{Kind: wire.KCall, Seq: seq, Name: "gate", Str: imp.Signature()}
+}
+
+// TestConcurrentDispatchOverlapsPipelinedRequests: while a pipelined
+// request is held inside its procedure body, a second request on the
+// same connection is dispatched and answered, and the first then
+// completes. Later rounds run on workers the first round left idle.
+func TestConcurrentDispatchOverlapsPipelinedRequests(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	_, conn, served := pipeProcess(t, gateProgram(entered, release))
+	defer func() {
+		conn.Close()
+		waitClosed(t, served, "serve after close")
+	}()
+	for round := uint32(0); round < 3; round++ {
+		if err := conn.Send(gateCall(10*round + 1)); err != nil {
+			t.Fatal(err)
+		}
+		<-entered // request 1 is inside its body
+		if err := conn.Send(&wire.Message{Kind: wire.KPing, Seq: 10*round + 2}); err != nil {
+			t.Fatal(err)
+		}
+		m, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Kind != wire.KPong || m.Seq != 10*round+2 {
+			t.Fatalf("round %d: first reply %v seq %d, want the ping's pong while the gate is held", round, m.Kind, m.Seq)
+		}
+		release <- struct{}{}
+		if m, err = conn.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		if m.Kind != wire.KReply || m.Seq != 10*round+1 {
+			t.Fatalf("round %d: second reply %v seq %d (%s), want the gate's reply", round, m.Kind, m.Seq, m.Err)
+		}
+	}
+}
+
+// TestConcurrentDispatchWorkersEndWithConn: closing the connection
+// ends every dispatch worker it started — idle ones at once, and one
+// still inside a procedure body as soon as that body returns.
+func TestConcurrentDispatchWorkersEndWithConn(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	p, conn, served := pipeProcess(t, gateProgram(entered, release))
+	for seq := uint32(1); seq <= 4; seq++ {
+		if err := conn.Send(&wire.Message{Kind: wire.KPing, Seq: seq}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := conn.Send(gateCall(5)); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	conn.Close()
+	waitClosed(t, served, "serve after close")
+	release <- struct{}{}
+	workersDone := make(chan struct{})
+	go func() {
+		p.workers.Wait()
+		close(workersDone)
+	}()
+	waitClosed(t, workersDone, "dispatch workers after close")
 }

@@ -1,6 +1,7 @@
 package schooner
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -151,5 +152,40 @@ func TestLeasedPoolDrainedOnQuit(t *testing.T) {
 	c.Close()
 	if got := settleConns(t, d, base, 2*time.Second); got != base {
 		t.Errorf("%d connection endpoints still open after quit (baseline %d)", got, base)
+	}
+}
+
+// TestServerForgetsStoppedProcesses: a Server drops each process from
+// its table when the process stops, so 100 spawn/IQuit cycles leave
+// the table empty instead of holding 100 dead processes.
+func TestServerForgetsStoppedProcesses(t *testing.T) {
+	d := newDeployment(t, "avs-sparc", ieeeHosts())
+	d.reg.MustRegister(adderProgram("/npss/adder"))
+	c := d.client("avs-sparc")
+	for i := 0; i < 100; i++ {
+		ln, err := c.ContactSchx(fmt.Sprintf("cycle-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ln.StartRemote("/npss/adder", "sgi-lerc"); err != nil {
+			t.Fatal(err)
+		}
+		if err := ln.IQuit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := d.servers["sgi-lerc"]
+	tableSize := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.processes)
+	}
+	// A process stops just after acknowledging its shutdown.
+	deadline := time.Now().Add(5 * time.Second)
+	for tableSize() != 0 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if n := tableSize(); n != 0 {
+		t.Errorf("server still holds %d processes after 100 spawn/IQuit cycles", n)
 	}
 }

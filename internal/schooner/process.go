@@ -37,12 +37,17 @@ type process struct {
 	// per-call signature text is parsed once.
 	sigCache map[string]*uts.ProcSpec
 
+	// workers counts the dispatch workers of every connection.
+	workers sync.WaitGroup
+
+	onStop   func(*process)
 	stopOnce sync.Once
 	done     chan struct{}
 }
 
 // startProcess instantiates a program on a host and begins serving.
-func startProcess(t Transport, host string, prog *Program) (*process, error) {
+// onStop, when non-nil, runs once as the process stops.
+func startProcess(t Transport, host string, prog *Program, onStop func(*process)) (*process, error) {
 	arch, err := t.HostArch(host)
 	if err != nil {
 		return nil, err
@@ -62,6 +67,7 @@ func startProcess(t Transport, host string, prog *Program) (*process, error) {
 		instance: inst,
 		listener: l,
 		sigCache: make(map[string]*uts.ProcSpec),
+		onStop:   onStop,
 		done:     make(chan struct{}),
 	}
 	go p.acceptLoop()
@@ -76,6 +82,9 @@ func (p *process) stop() {
 	p.stopOnce.Do(func() {
 		close(p.done)
 		p.listener.Close()
+		if p.onStop != nil {
+			p.onStop(p)
+		}
 	})
 }
 
@@ -98,12 +107,16 @@ func (p *process) acceptLoop() {
 	}
 }
 
-// serve reads requests off one connection and dispatches each in its
-// own goroutine, so a pipelined caller's in-flight requests overlap and
-// replies return in completion order (the caller matches them by Seq).
-// Procedure bodies still serialize on p.mu; the concurrency covers the
-// marshaling halves and the reply ordering. KShutdown stays in the read
-// loop because it ends the conversation.
+// serve reads requests off one connection and hands each to a
+// dispatch worker, so a pipelined caller's in-flight requests overlap
+// and replies return in completion order (the caller matches them by
+// Seq). A worker that finishes a request stays on as an idle worker of
+// the connection; a request starts a new one only when none is idle,
+// so steady traffic reuses goroutines whose stacks have already grown
+// to the dispatch path's depth. Procedure bodies still serialize on
+// p.mu; the concurrency covers the marshaling halves and the reply
+// ordering. KShutdown stays in the read loop because it ends the
+// conversation.
 func (p *process) serve(conn wire.Conn) {
 	defer conn.Close()
 	var sendMu sync.Mutex
@@ -115,6 +128,10 @@ func (p *process) serve(conn wire.Conn) {
 		_ = conn.Send(resp)
 		sendMu.Unlock()
 	}
+	// Unbuffered: a send succeeds only when a worker is idle. Closing
+	// it when serve returns ends every worker once its request is done.
+	work := make(chan *wire.Message)
+	defer close(work)
 	for {
 		m, err := conn.Recv()
 		if err != nil {
@@ -129,7 +146,22 @@ func (p *process) serve(conn wire.Conn) {
 			p.stop()
 			return
 		}
-		go func(m *wire.Message) { reply(m, p.dispatch(m)) }(m)
+		select {
+		case work <- m:
+		default:
+			p.workers.Add(1)
+			go p.work(m, work, reply)
+		}
+	}
+}
+
+// work is a dispatch worker of one connection: it replies to m, then
+// to each request handed to it while idle, until the connection's
+// serve loop returns.
+func (p *process) work(m *wire.Message, work <-chan *wire.Message, reply func(req, resp *wire.Message)) {
+	defer p.workers.Done()
+	for ; m != nil; m = <-work {
+		reply(m, p.dispatch(m))
 	}
 }
 

@@ -21,7 +21,7 @@ type Server struct {
 	listener  Listener
 
 	mu        sync.Mutex
-	processes map[string]*process // keyed by process address
+	processes map[string]*process // live processes, keyed by address
 	stopped   bool
 }
 
@@ -73,13 +73,16 @@ func (s *Server) Stop() {
 func (s *Server) ProcessCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, p := range s.processes {
-		if !p.stopped() {
-			n++
-		}
+	return len(s.processes)
+}
+
+// forget drops a stopping process from the server's table.
+func (s *Server) forget(p *process) {
+	s.mu.Lock()
+	if s.processes[p.addr()] == p {
+		delete(s.processes, p.addr())
 	}
-	return n
+	s.mu.Unlock()
 }
 
 func (s *Server) acceptLoop() {
@@ -157,8 +160,9 @@ func (s *Server) handleBatch(m *wire.Message) *wire.Message {
 		s.mu.Unlock()
 		var resp *wire.Message
 		if p == nil {
-			resp = &wire.Message{Kind: wire.KError,
-				Err: fmt.Sprintf("schooner: no process at %q on %s", sub.Addr, s.host)}
+			// Stopped processes leave the table: answer as the
+			// stopped process would, so the caller rebinds.
+			resp = &wire.Message{Kind: wire.KError, Err: ErrProcessTerminated}
 		} else {
 			resp = p.dispatch(sub.Msg)
 		}
@@ -180,23 +184,26 @@ func (s *Server) handleSpawn(m *wire.Message) *wire.Message {
 			"server.spawn "+m.Name, s.host)
 		defer sp.End()
 	}
-	s.mu.Lock()
-	stopped := s.stopped
-	s.mu.Unlock()
-	if stopped {
-		return &wire.Message{Kind: wire.KError, Err: "schooner: server stopped"}
-	}
 	prog, err := s.registry.Lookup(m.Name)
 	if err != nil {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}
-	p, err := startProcess(s.transport, s.host, prog)
+	p, err := startProcess(s.transport, s.host, prog, s.forget)
 	if err != nil {
 		return &wire.Message{Kind: wire.KError, Err: err.Error()}
 	}
 	s.mu.Lock()
-	s.processes[p.addr()] = p
+	stopped := s.stopped
+	if !stopped {
+		s.processes[p.addr()] = p
+	}
 	s.mu.Unlock()
+	if stopped {
+		// Stop ran while the process started: it must not outlive
+		// the server.
+		p.stop()
+		return &wire.Message{Kind: wire.KError, Err: "schooner: server stopped"}
+	}
 	flight.Record(flight.Event{Kind: flight.KindSpawn, Component: "server",
 		Host: s.host, Trace: m.Trace, Span: m.Span, Name: m.Name})
 	// Report the new process address together with its export

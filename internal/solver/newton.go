@@ -26,12 +26,36 @@ type NewtonOptions struct {
 	// (0 disables). Keeps early iterations from flying off the
 	// performance maps.
 	MaxStep float64
-	// Parallel evaluates each iteration's Jacobian columns
-	// concurrently, as one wavefront: column j perturbs its own copy
-	// of x, so f must be safe for concurrent use. The columns, and
-	// therefore the iterates, are bit-identical to the sequential
-	// loop's.
-	Parallel bool
+	// Wave, when non-nil, evaluates each iteration's Jacobian columns
+	// as one wavefront instead of the sequential column loop: column j
+	// gets its own perturbed copy of x. The Jacobian arithmetic and
+	// column order are unchanged, so the iterates are bit-identical to
+	// the loop's. Concurrent(f) is the plain implementation.
+	Wave Wave
+}
+
+// Wave evaluates one Jacobian wavefront: for every column j it sets
+// rs[j] to the residual at xs[j] and errs[j] to that evaluation's
+// error. The columns are independent, so a Wave may evaluate them in
+// any order or all at once, but every evaluation has finished when it
+// returns.
+type Wave func(xs, rs [][]float64, errs []error)
+
+// Concurrent returns the Wave that evaluates column j as f(j, xs[j],
+// rs[j]), each column on its own goroutine, and joins them all. f
+// must be safe for concurrent use.
+func Concurrent(f func(j int, x, r []float64) error) Wave {
+	return func(xs, rs [][]float64, errs []error) {
+		var wg sync.WaitGroup
+		for j := range xs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[j] = f(j, xs[j], rs[j])
+			}()
+		}
+		wg.Wait()
+	}
 }
 
 func (o *NewtonOptions) defaults() {
@@ -77,14 +101,14 @@ func Newton(f Residual, x []float64, opt NewtonOptions) (int, error) {
 	}
 
 	var wave *wavefront
-	if opt.Parallel {
+	if opt.Wave != nil {
 		wave = newWavefront(n)
 	}
 	for iter := 1; iter <= opt.MaxIter; iter++ {
 		// Finite-difference Jacobian, one column per variable.
 		var err error
 		if wave != nil {
-			err = wave.jacobian(f, x, r, jac, opt.FDRel)
+			err = wave.jacobian(opt.Wave, x, r, jac, opt.FDRel)
 		} else {
 			err = jacobian(f, x, rp, r, jac, opt.FDRel)
 		}
@@ -126,36 +150,38 @@ func fdStep(v, rel float64) float64 {
 	return rel * math.Max(math.Abs(v), 1e-8)
 }
 
-// column evaluates Jacobian column j: xj is x with entry j raised by
-// h, r is the residual at x, and rp is scratch for the residual at xj.
-func column(f Residual, xj, rp, r []float64, jac [][]float64, j int, h float64) error {
-	if err := f(xj, rp); err != nil {
-		return fmt.Errorf("solver: residual during Jacobian column %d: %w", j, err)
-	}
+// fill writes Jacobian column j from rp, the residual at x with
+// entry j raised by h, and r, the residual at x.
+func fill(rp, r []float64, jac [][]float64, j int, h float64) {
 	inv := 1 / h
 	for i := range rp {
 		jac[i][j] = (rp[i] - r[i]) * inv
 	}
-	return nil
+}
+
+// columnError is the failure of Jacobian column j's residual.
+func columnError(j int, err error) error {
+	return fmt.Errorf("solver: residual during Jacobian column %d: %w", j, err)
 }
 
 // jacobian evaluates the columns one after another, perturbing x in
-// place and restoring it.
+// place and restoring it; rp is scratch for each column's residual.
 func jacobian(f Residual, x, rp, r []float64, jac [][]float64, rel float64) error {
 	for j := range x {
 		h := fdStep(x[j], rel)
 		saved := x[j]
 		x[j] = saved + h
-		err := column(f, x, rp, r, jac, j, h)
+		err := f(x, rp)
 		x[j] = saved
 		if err != nil {
-			return err
+			return columnError(j, err)
 		}
+		fill(rp, r, jac, j, h)
 	}
 	return nil
 }
 
-// wavefront holds the per-column buffers of the concurrent Jacobian,
+// wavefront holds the per-column buffers of a wavefront Jacobian,
 // allocated once per solve: each column's perturbed copy of x, its
 // residual, and its error.
 type wavefront struct {
@@ -173,26 +199,23 @@ func newWavefront(n int) *wavefront {
 	return w
 }
 
-// jacobian evaluates every column concurrently, each writing only its
-// own jac[.][j]. It joins all columns before returning, and reports
-// the lowest-index failure with the sequential loop's message.
-func (w *wavefront) jacobian(f Residual, x, r []float64, jac [][]float64, rel float64) error {
-	var wg sync.WaitGroup
+// jacobian evaluates every column through one call of wave, which
+// joins them all, and reports the lowest-index failure with the
+// sequential loop's message.
+func (w *wavefront) jacobian(wave Wave, x, r []float64, jac [][]float64, rel float64) error {
 	for j := range w.xs {
-		h := fdStep(x[j], rel)
 		copy(w.xs[j], x)
-		w.xs[j][j] = x[j] + h
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			w.errs[j] = column(f, w.xs[j], w.rps[j], r, jac, j, h)
-		}(j)
+		w.xs[j][j] = x[j] + fdStep(x[j], rel)
+		w.errs[j] = nil
 	}
-	wg.Wait()
-	for _, err := range w.errs {
+	wave(w.xs, w.rps, w.errs)
+	for j, err := range w.errs {
 		if err != nil {
-			return err
+			return columnError(j, err)
 		}
+	}
+	for j := range w.xs {
+		fill(w.rps[j], r, jac, j, fdStep(x[j], rel))
 	}
 	return nil
 }

@@ -57,7 +57,7 @@ func TestJacobianConcurrentBitIdentical(t *testing.T) {
 		if err := jacobian(f, x, make([]float64, n), r, seq, 1e-7); err != nil {
 			t.Fatal(err)
 		}
-		if err := newWavefront(n).jacobian(f, x, r, par, 1e-7); err != nil {
+		if err := newWavefront(n).jacobian(concurrent(f), x, r, par, 1e-7); err != nil {
 			t.Fatal(err)
 		}
 		for i := range seq {
@@ -73,6 +73,11 @@ func TestJacobianConcurrentBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// concurrent is the plain concurrent wavefront over a residual.
+func concurrent(f Residual) Wave {
+	return Concurrent(func(_ int, x, r []float64) error { return f(x, r) })
 }
 
 func newMatrix(n int) [][]float64 {
@@ -93,7 +98,11 @@ func TestNewtonConcurrentBitIdentical(t *testing.T) {
 		for i := range x {
 			x[i] = 0.5
 		}
-		iters, err := Newton(f, x, NewtonOptions{MaxIter: maxIter, Relax: 0.9, Parallel: parallel})
+		opt := NewtonOptions{MaxIter: maxIter, Relax: 0.9}
+		if parallel {
+			opt.Wave = concurrent(f)
+		}
+		iters, err := Newton(f, x, opt)
 		return x, iters, err
 	}
 	_, total, err := solve(false, 0)
@@ -151,7 +160,11 @@ func TestNewtonConcurrentLowestColumnError(t *testing.T) {
 			return nil
 		}
 		x := append([]float64(nil), x0...)
-		iters, err := Newton(f, x, NewtonOptions{Parallel: parallel})
+		var opt NewtonOptions
+		if parallel {
+			opt.Wave = concurrent(f)
+		}
+		iters, err := Newton(f, x, opt)
 		if err == nil {
 			t.Fatalf("parallel=%v: Newton succeeded despite failing columns", parallel)
 		}
